@@ -19,6 +19,7 @@ LscatterDemodulator::LscatterDemodulator(
     const OffsetSearch& search, Fec fec)
     : cell_(cell),
       controller_(cell, schedule),
+      preamble_(controller_.preamble_pattern(), cell.fft_size()),
       search_(search),
       fec_(fec),
       plan_(&dsp::cached_fft_plan(cell.fft_size())) {}
@@ -227,8 +228,8 @@ PacketDemodStatus LscatterDemodulator::demodulate_packet_into(
         --preambles_expected;
         LSCATTER_OBS_TIMER("core.demod.offset_search");
         symbol_products_into(rx, ambient, sf_off, l, ws.z);
-        auto found =
-            find_modulation_offset(ws.z, preamble, nominal, search_);
+        auto found = find_modulation_offset(ws.z, preamble_, nominal,
+                                            search_, ws.offset);
         if (found && (!offset || found->metric > offset->metric)) {
           offset = *found;
           gain = found->gain;

@@ -34,6 +34,7 @@ struct PacketDemodResult {
 /// §15). One workspace per decoding thread; never shared concurrently.
 struct DemodWorkspace {
   dsp::cvec z;                        // symbol-product scratch (K samples)
+  OffsetScratch offset;               // offset-search screen scratch
   std::vector<std::uint8_t> coded;    // on-air bits of the current packet
   std::vector<float> soft;            // per-unit soft metrics
   std::vector<std::uint8_t> payload;  // CRC-clean payload (crc_ok only)
@@ -117,6 +118,9 @@ class LscatterDemodulator {
 
   lte::CellConfig cell_;
   tag::TagController controller_;
+  /// The controller's preamble and its spectrum at this cell's FFT size,
+  /// built once: every packet's offset search reuses it.
+  PreambleSpectrum preamble_;
   OffsetSearch search_;
   Fec fec_;
   /// Shared process-wide plan (dsp::cached_fft_plan): multi-cell

@@ -71,42 +71,48 @@ TEST(StreamAlloc, ProbeCountsThisTestsOwnAllocations) {
 }
 
 TEST(StreamAlloc, SteadyStateFeedAllocatesNothing) {
-  lte::CellConfig cell;
-  cell.bandwidth = lte::Bandwidth::kMHz1_4;
-  tag::TagScheduleConfig sched;
-  // Three full frames: the per-subframe packet sizes cycle with period
-  // 10 (sync subframes carry fewer bits), so one frame of warmup visits
-  // every codec size the steady state will ever need.
-  const Stream s = make_stream(cell, sched, 30, 4242);
-  const std::size_t spsf = cell.samples_per_subframe();
+  // 1.4 MHz, and 20 MHz where the offset search runs its FFT screen on
+  // 2048-point scratch held in the demod workspace.
+  for (const lte::Bandwidth bw :
+       {lte::Bandwidth::kMHz1_4, lte::Bandwidth::kMHz20}) {
+    SCOPED_TRACE(static_cast<int>(bw));
+    lte::CellConfig cell;
+    cell.bandwidth = bw;
+    tag::TagScheduleConfig sched;
+    // Three full frames: the per-subframe packet sizes cycle with period
+    // 10 (sync subframes carry fewer bits), so one frame of warmup visits
+    // every codec size the steady state will ever need.
+    const Stream s = make_stream(cell, sched, 30, 4242);
+    const std::size_t spsf = cell.samples_per_subframe();
 
-  core::StreamingReceiver::Config cfg;
-  cfg.cell = cell;
-  cfg.schedule = sched;
-  core::StreamingReceiver ue(cfg);
+    core::StreamingReceiver::Config cfg;
+    cfg.cell = cell;
+    cfg.schedule = sched;
+    core::StreamingReceiver ue(cfg);
 
-  // Warmup: first full frame. Grows event slots, demod workspace, codec
-  // cache, FFT scratch, obs metric registrations.
-  std::size_t events = 0;
-  for (std::size_t sf = 0; sf < 10; ++sf) {
-    events += ue.feed(std::span<const cf32>(s.rx).subspan(sf * spsf, spsf),
-                      std::span<const cf32>(s.ambient).subspan(sf * spsf,
-                                                              spsf))
-                  .size();
+    // Warmup: first full frame. Grows event slots, demod workspace, codec
+    // cache, FFT scratch, obs metric registrations.
+    std::size_t events = 0;
+    for (std::size_t sf = 0; sf < 10; ++sf) {
+      events +=
+          ue.feed(std::span<const cf32>(s.rx).subspan(sf * spsf, spsf),
+                  std::span<const cf32>(s.ambient).subspan(sf * spsf, spsf))
+              .size();
+    }
+
+    // Steady state: the remaining two frames must be allocation-free.
+    const auto before = obs::alloc_probe_count();
+    for (std::size_t sf = 10; sf < 30; ++sf) {
+      events +=
+          ue.feed(std::span<const cf32>(s.rx).subspan(sf * spsf, spsf),
+                  std::span<const cf32>(s.ambient).subspan(sf * spsf, spsf))
+              .size();
+    }
+    const auto delta = obs::alloc_probe_count() - before;
+    EXPECT_EQ(delta, 0u) << "steady-state feed() allocated " << delta
+                         << " time(s)";
+    EXPECT_EQ(events, s.packets);
   }
-
-  // Steady state: the remaining two frames must be allocation-free.
-  const auto before = obs::alloc_probe_count();
-  for (std::size_t sf = 10; sf < 30; ++sf) {
-    events += ue.feed(std::span<const cf32>(s.rx).subspan(sf * spsf, spsf),
-                      std::span<const cf32>(s.ambient).subspan(sf * spsf,
-                                                              spsf))
-                  .size();
-  }
-  const auto delta = obs::alloc_probe_count() - before;
-  EXPECT_EQ(delta, 0u) << "steady-state feed() allocated " << delta
-                       << " time(s)";
-  EXPECT_EQ(events, s.packets);
 }
 
 TEST(StreamAlloc, RingPushPopAllocatesNothingAfterFirstLap) {
