@@ -31,9 +31,11 @@ struct Slot {
 // next to the simulation work. The cursor/window/stop fields are
 // GUARDED_BY the pool mutex (checked on the clang thread-safety lane);
 // window/drops/flow_base are set before the team starts and never
-// mutated after, so workers may read them unlocked.
+// mutated after, so workers may read them unlocked. The mutex has the
+// lowest lock rank: a worker closes its enqueue span (obs.span_sink) and
+// registers first-use metrics (obs.registry) while holding it.
 struct PoolState {
-  lscatter::Mutex mutex{"core.pool.state"};
+  lscatter::Mutex mutex{LockRank::kCorePoolState};
   lscatter::CondVar window_open;   // workers: window advanced
   lscatter::CondVar result_ready;  // consumer: in-order slot landed
   std::size_t next_claim LSCATTER_GUARDED_BY(mutex) = 0;  // next handout

@@ -1,6 +1,6 @@
 #pragma once
-// Compile-time thread-safety capabilities + runtime lock-order
-// validation (DESIGN.md §13).
+// Compile-time thread-safety capabilities + runtime lock ranks
+// (DESIGN.md §13).
 //
 // Two enforcement layers share this header:
 //
@@ -13,19 +13,20 @@
 //     field, and which functions require which locks, is stated in the
 //     types and checked on every build instead of sampled by TSan.
 //
-//  2. A runtime lock-order validator inside the lscatter::Mutex /
-//     SharedMutex wrappers: each thread keeps a held-lock stack, and a
-//     process-global acquired-before graph records every nested
-//     acquisition. The first acquisition that would close a cycle
-//     (classic AB/BA deadlock order inversion), and any same-thread
-//     re-acquisition (self-deadlock on a non-recursive mutex), fails a
-//     contract immediately — even when the schedule that would actually
-//     deadlock never happens in the test run. Static analysis cannot see
-//     runtime-conditional acquisition orders; this can. The validator is
-//     active whenever contracts are (default build) and compiles out
-//     entirely under -DLSCATTER_CHECKS=OFF; failures route through
-//     core/contracts.hpp, so LSCATTER_CONTRACTS=throw turns an inversion
-//     into a catchable lscatter::core::ContractViolation for tests.
+//  2. Static lock ranks checked at runtime inside the lscatter::Mutex /
+//     SharedMutex wrappers. Every mutex is constructed with a LockRank
+//     from the one enum below, which lists the tree's locks in the order
+//     they may nest. Each thread keeps a held-lock stack, and a blocking
+//     acquisition must carry a rank strictly greater than the rank on
+//     top of that stack — an O(1) compare. An inverted nesting (the
+//     AB/BA order a deadlock needs) fails the first time it runs, with
+//     no history of the opposite order needed; so does a same-thread
+//     re-acquisition (self-deadlock on a non-recursive mutex), whose
+//     rank is equal, not greater. The check is active whenever contracts
+//     are (default build) and compiles out entirely under
+//     -DLSCATTER_CHECKS=OFF; failures route through core/contracts.hpp,
+//     so LSCATTER_CONTRACTS=throw turns an inversion into a catchable
+//     lscatter::core::ContractViolation for tests.
 //
 // Migration is mechanical: std::mutex -> lscatter::Mutex,
 // std::shared_mutex -> lscatter::SharedMutex,
@@ -45,20 +46,18 @@
 // this file) from the std::mutex/std::lock_guard ban.
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
-#include <map>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
-#include <string>
-#include <vector>
 
 #include "core/contracts.hpp"
 
 // ---- Clang Thread Safety Analysis attribute macros ----------------------
 // Spellings follow the canonical mutex.h from the Clang TSA docs; the
 // LSCATTER_ prefix keeps them greppable and avoids colliding with other
-// libraries' THREAD_ANNOTATION macros.
+// libraries' THREAD_ANNOTATION macros. Only the attributes the tree uses
+// are defined.
 
 #if defined(__clang__) && !defined(SWIG)
 #define LSCATTER_TSA_(x) __attribute__((x))
@@ -77,15 +76,10 @@
 /// Data member readable/writable only while the given capability is held.
 #define LSCATTER_GUARDED_BY(x) LSCATTER_TSA_(guarded_by(x))
 
-/// Pointer member whose *pointee* is guarded by the given capability.
-#define LSCATTER_PT_GUARDED_BY(x) LSCATTER_TSA_(pt_guarded_by(x))
-
 /// Function may only be called while the caller holds the capability
-/// exclusively (shared variant: while holding at least shared).
+/// exclusively.
 #define LSCATTER_REQUIRES(...) \
   LSCATTER_TSA_(requires_capability(__VA_ARGS__))
-#define LSCATTER_REQUIRES_SHARED(...) \
-  LSCATTER_TSA_(requires_shared_capability(__VA_ARGS__))
 
 /// Function acquires/releases the capability (on `this` when no
 /// argument is given — the wrapper-method form).
@@ -97,32 +91,11 @@
   LSCATTER_TSA_(release_capability(__VA_ARGS__))
 #define LSCATTER_RELEASE_SHARED(...) \
   LSCATTER_TSA_(release_shared_capability(__VA_ARGS__))
-#define LSCATTER_RELEASE_GENERIC(...) \
-  LSCATTER_TSA_(release_generic_capability(__VA_ARGS__))
-#define LSCATTER_TRY_ACQUIRE(...) \
-  LSCATTER_TSA_(try_acquire_capability(__VA_ARGS__))
-#define LSCATTER_TRY_ACQUIRE_SHARED(...) \
-  LSCATTER_TSA_(try_acquire_shared_capability(__VA_ARGS__))
 
 /// Function must NOT be called with the capability held (it acquires it
 /// itself — calling it while held is a self-deadlock, caught at compile
 /// time).
 #define LSCATTER_EXCLUDES(...) LSCATTER_TSA_(locks_excluded(__VA_ARGS__))
-
-/// Declared lock-rank edges, checked under -Wthread-safety-beta.
-#define LSCATTER_ACQUIRED_BEFORE(...) \
-  LSCATTER_TSA_(acquired_before(__VA_ARGS__))
-#define LSCATTER_ACQUIRED_AFTER(...) \
-  LSCATTER_TSA_(acquired_after(__VA_ARGS__))
-
-/// Runtime assertion that the capability is held (for call graphs the
-/// analysis cannot follow).
-#define LSCATTER_ASSERT_CAPABILITY(x) LSCATTER_TSA_(assert_capability(x))
-#define LSCATTER_ASSERT_SHARED_CAPABILITY(x) \
-  LSCATTER_TSA_(assert_shared_capability(x))
-
-/// Function returns a reference to the given capability.
-#define LSCATTER_RETURN_CAPABILITY(x) LSCATTER_TSA_(lock_returned(x))
 
 /// Escape hatch. Every use must carry a comment justifying why the
 /// analysis cannot model the function (the acceptance bar for this
@@ -132,7 +105,38 @@
 
 namespace lscatter {
 
-// ---- runtime lock-order validator ---------------------------------------
+// ---- lock ranks ---------------------------------------------------------
+
+/// Every mutex in the tree, in the order locks may nest: a thread may
+/// block on a mutex only while every lock it holds has a strictly lower
+/// rank. The order follows the nestings the code performs (DESIGN.md
+/// §13): the pool worker closes its enqueue span and registers first-use
+/// metrics under core.pool.state (-> obs.span_sink, -> obs.registry), and
+/// a family registers a new cell under obs.family (-> obs.registry).
+/// dsp.fft.plan_cache and obs.run_registry.append are leaves. A new
+/// mutex gets a new entry here; two mutexes of one rank never nest.
+enum class LockRank : std::uint8_t {
+  kCorePoolState = 1,
+  kObsFamily,
+  kDspFftPlanCache,
+  kObsRunRegistryAppend,
+  kObsSpanSink,
+  kObsRegistry,
+};
+
+constexpr const char* to_string(LockRank rank) {
+  switch (rank) {
+    case LockRank::kCorePoolState: return "core.pool.state";
+    case LockRank::kObsFamily: return "obs.family";
+    case LockRank::kDspFftPlanCache: return "dsp.fft.plan_cache";
+    case LockRank::kObsRunRegistryAppend: return "obs.run_registry.append";
+    case LockRank::kObsSpanSink: return "obs.span_sink";
+    case LockRank::kObsRegistry: return "obs.registry";
+  }
+  return "<invalid lock rank>";
+}
+
+// ---- runtime rank check -------------------------------------------------
 
 namespace lock_order {
 
@@ -140,203 +144,81 @@ namespace lock_order {
 
 inline constexpr bool kEnabled = true;
 
-/// One entry of a thread's held-lock stack.
-struct HeldLock {
-  const void* mutex = nullptr;
-  const char* name = nullptr;  // optional diagnostic label (or null)
-  bool shared = false;
-};
-
 namespace detail {
 
-inline const char* display_name(const char* name) {
-  return name != nullptr ? name : "<unnamed>";
-}
-
-/// Process-global acquired-before graph. Edge A -> B means "B was
-/// acquired while A was held" somewhere in the process's history; a new
-/// nested acquisition that can already reach a currently-held lock
-/// through the graph closes a cycle — the order inversion a deadlock
-/// needs. Protected by a raw std::mutex on purpose: the validator must
-/// not instrument (and recurse into) itself.
-class Graph {
- public:
-  static Graph& instance() {
-    static Graph* const graph = new Graph();  // never destroyed: mutexes
-    // may be released from static destructors of client code.
-    return *graph;
-  }
-
-  /// Called with the acquiring thread's held stack just before the
-  /// blocking acquisition of `next`. Fails a contract on inversion.
-  void before_acquire(const HeldLock* held, std::size_t n_held,
-                      const void* next, const char* next_name) {
-    std::string inversion;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      names_[next] = next_name;
-      for (std::size_t i = 0; i < n_held; ++i) {
-        names_[held[i].mutex] = held[i].name;
-      }
-      for (std::size_t i = 0; i < n_held; ++i) {
-        if (held[i].mutex == next) continue;  // re-acquire: caught earlier
-        if (reaches_locked(next, held[i].mutex)) {
-          inversion = "acquiring " + describe_locked(next) +
-                      " while holding " + describe_locked(held[i].mutex) +
-                      ", but the opposite order was recorded earlier "
-                      "(acquired-before cycle) — potential deadlock";
-          break;
-        }
-      }
-      if (inversion.empty()) {
-        for (std::size_t i = 0; i < n_held; ++i) {
-          adj_[held[i].mutex].insert(next);
-        }
-      }
-    }
-    if (!inversion.empty()) {
-      core::contracts::fail("lock-order", "acquired-before graph is acyclic",
-                            __FILE__, __LINE__, inversion.c_str());
-    }
-  }
-
-  /// Drop every edge touching `m` — called from the mutex destructor so
-  /// a new mutex constructed at a recycled address (per-sweep PoolState
-  /// on the stack) never inherits stale ordering history.
-  void forget(const void* m) {
-    std::lock_guard<std::mutex> lk(mu_);
-    adj_.erase(m);
-    names_.erase(m);
-    for (auto& [from, to] : adj_) to.erase(m);
-  }
-
-  /// Directed edges currently recorded (test introspection).
-  std::size_t edge_count() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    std::size_t n = 0;
-    for (const auto& [from, to] : adj_) n += to.size();
-    return n;
-  }
-
- private:
-  Graph() = default;
-
-  bool reaches_locked(const void* from, const void* to) const {
-    if (from == to) return true;
-    std::vector<const void*> stack{from};
-    std::set<const void*> visited;
-    while (!stack.empty()) {
-      const void* cur = stack.back();
-      stack.pop_back();
-      if (!visited.insert(cur).second) continue;
-      const auto it = adj_.find(cur);
-      if (it == adj_.end()) continue;
-      for (const void* next : it->second) {
-        if (next == to) return true;
-        stack.push_back(next);
-      }
-    }
-    return false;
-  }
-
-  std::string describe_locked(const void* m) const {
-    const auto it = names_.find(m);
-    const char* name =
-        it != names_.end() ? display_name(it->second) : "<unnamed>";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%p", m);
-    return std::string("mutex '") + name + "' (" + buf + ")";
-  }
-
-  mutable std::mutex mu_;  // raw by design: see class comment
-  std::map<const void*, std::set<const void*>> adj_;
-  std::map<const void*, const char*> names_;
-};
-
-struct ThreadState {
-  static constexpr std::size_t kMaxHeld = 32;
-  HeldLock held[kMaxHeld];
+/// The calling thread's held locks, innermost last.
+struct HeldStack {
+  static constexpr std::size_t kMax = 32;
+  struct Entry {
+    const void* mutex = nullptr;
+    LockRank rank{};
+  } locks[kMax];
   std::size_t depth = 0;
 };
 
-inline ThreadState& thread_state() {
-  thread_local ThreadState state;
-  return state;
+inline HeldStack& held_stack() {
+  thread_local HeldStack stack;
+  return stack;
 }
 
 }  // namespace detail
 
-/// Pre-acquisition check: self-deadlock (same-thread re-acquisition of a
-/// non-recursive lock, shared or exclusive) and order inversion against
-/// the global acquired-before graph. Runs BEFORE the real lock call so
-/// the bug reports instead of wedging. `blocking` is false for try_*
-/// acquisitions, which cannot deadlock and therefore record no edges.
-inline void check_acquire(const void* m, const char* name, bool blocking) {
-  detail::ThreadState& st = detail::thread_state();
-  for (std::size_t i = 0; i < st.depth; ++i) {
-    if (st.held[i].mutex == m) {
-      const std::string msg =
-          std::string("same-thread re-acquisition of mutex '") +
-          detail::display_name(name) +
-          "' — self-deadlock on a non-recursive lock";
-      core::contracts::fail("lock-order", "no re-entrant locking", __FILE__,
-                            __LINE__, msg.c_str());
-      return;  // kLog mode: keep going
-    }
-  }
-  if (blocking && st.depth > 0) {
-    detail::Graph::instance().before_acquire(st.held, st.depth, m, name);
-  }
+/// Pre-acquisition check: `rank` must exceed the rank on top of the
+/// held stack. Every push was checked, so ranks on the stack strictly
+/// increase and the top is the held maximum. Runs BEFORE the real lock
+/// call so the bug reports instead of wedging.
+inline void check_acquire(const void* m, LockRank rank) {
+  const detail::HeldStack& st = detail::held_stack();
+  if (st.depth == 0 || rank > st.locks[st.depth - 1].rank) return;
+  const auto& top = st.locks[st.depth - 1];
+  char msg[192];
+  std::snprintf(msg, sizeof(msg),
+                "acquiring mutex '%s' (rank %d) while holding '%s' (rank %d)"
+                " — %s",
+                to_string(rank), static_cast<int>(rank), to_string(top.rank),
+                static_cast<int>(top.rank),
+                top.mutex == m ? "same-thread re-acquisition, a self-deadlock"
+                               : "potential deadlock");
+  core::contracts::fail("lock-order", "lock ranks strictly increase",
+                        __FILE__, __LINE__, msg);
 }
 
 /// Post-acquisition bookkeeping: push onto the thread's held stack.
-inline void acquired(const void* m, const char* name, bool shared) {
-  detail::ThreadState& st = detail::thread_state();
-  LSCATTER_ASSERT(st.depth < detail::ThreadState::kMaxHeld,
-                  "lock nesting exceeds the validator's held-stack bound");
-  if (st.depth < detail::ThreadState::kMaxHeld) {
-    st.held[st.depth++] = {m, name, shared};
-  }
+inline void acquired(const void* m, LockRank rank) {
+  detail::HeldStack& st = detail::held_stack();
+  LSCATTER_ASSERT(st.depth < detail::HeldStack::kMax,
+                  "lock nesting exceeds the held-stack bound");
+  if (st.depth < detail::HeldStack::kMax) st.locks[st.depth++] = {m, rank};
 }
 
 /// Release bookkeeping: drop `m` from the held stack (out-of-order
-/// release of hand-over-hand patterns is legal, so search, don't pop).
+/// release of hand-over-hand patterns is legal, so search, don't pop;
+/// removing any entry keeps the stack's ranks increasing).
 inline void released(const void* m) {
-  detail::ThreadState& st = detail::thread_state();
+  detail::HeldStack& st = detail::held_stack();
   for (std::size_t i = st.depth; i-- > 0;) {
-    if (st.held[i].mutex == m) {
+    if (st.locks[i].mutex == m) {
       for (std::size_t j = i; j + 1 < st.depth; ++j) {
-        st.held[j] = st.held[j + 1];
+        st.locks[j] = st.locks[j + 1];
       }
       --st.depth;
       return;
     }
   }
-  LSCATTER_ASSERT(false, "released a lock the validator never saw acquired");
+  LSCATTER_ASSERT(false, "released a lock the rank check never saw acquired");
 }
-
-inline void destroyed(const void* m) { detail::Graph::instance().forget(m); }
 
 /// Locks the calling thread currently holds (test introspection).
-inline std::size_t held_count() { return detail::thread_state().depth; }
-
-/// Directed acquired-before edges recorded so far (test introspection —
-/// and the anti-neutering probe: tests assert this grows when locks
-/// nest, so a build that silently compiled the validator out fails).
-inline std::size_t edge_count() {
-  return detail::Graph::instance().edge_count();
-}
+inline std::size_t held_count() { return detail::held_stack().depth; }
 
 #else  // !LSCATTER_CHECKS_ENABLED — everything compiles to nothing.
 
 inline constexpr bool kEnabled = false;
 
-inline void check_acquire(const void*, const char*, bool) {}
-inline void acquired(const void*, const char*, bool) {}
+inline void check_acquire(const void*, LockRank) {}
+inline void acquired(const void*, LockRank) {}
 inline void released(const void*) {}
-inline void destroyed(const void*) {}
 inline std::size_t held_count() { return 0; }
-inline std::size_t edge_count() { return 0; }
 
 #endif  // LSCATTER_CHECKS_ENABLED
 
@@ -344,29 +226,18 @@ inline std::size_t edge_count() { return 0; }
 
 // ---- annotated drop-in lock wrappers -------------------------------------
 
-/// std::mutex with a TSA capability and lock-order validation. Pass a
-/// string-literal name ("obs.registry") for readable inversion reports;
-/// the name is stored by pointer.
+/// std::mutex with a TSA capability and a lock rank.
 class LSCATTER_CAPABILITY("mutex") Mutex {
  public:
-  Mutex() noexcept = default;
-  explicit Mutex(const char* name) noexcept : name_(name) {}
-  ~Mutex() { lock_order::destroyed(this); }
+  explicit Mutex(LockRank rank) noexcept : rank_(rank) {}
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
   void lock() LSCATTER_ACQUIRE() {
-    lock_order::check_acquire(this, name_, /*blocking=*/true);
+    lock_order::check_acquire(this, rank_);
     m_.lock();
-    lock_order::acquired(this, name_, /*shared=*/false);
-  }
-
-  bool try_lock() LSCATTER_TRY_ACQUIRE(true) {
-    lock_order::check_acquire(this, name_, /*blocking=*/false);
-    const bool ok = m_.try_lock();
-    if (ok) lock_order::acquired(this, name_, /*shared=*/false);
-    return ok;
+    lock_order::acquired(this, rank_);
   }
 
   void unlock() LSCATTER_RELEASE() {
@@ -374,36 +245,25 @@ class LSCATTER_CAPABILITY("mutex") Mutex {
     m_.unlock();
   }
 
-  const char* name() const { return name_; }
-
  private:
   std::mutex m_;
-  const char* name_ = nullptr;
+  const LockRank rank_;
 };
 
-/// std::shared_mutex with a TSA capability and lock-order validation.
-/// Shared acquisitions participate in the acquired-before graph too: a
-/// reader-held lock still deadlocks against a writer in a cycle.
+/// std::shared_mutex with a TSA capability and a lock rank. Shared
+/// acquisitions are ranked too: a reader-held lock still deadlocks
+/// against a writer in a cycle.
 class LSCATTER_CAPABILITY("shared_mutex") SharedMutex {
  public:
-  SharedMutex() noexcept = default;
-  explicit SharedMutex(const char* name) noexcept : name_(name) {}
-  ~SharedMutex() { lock_order::destroyed(this); }
+  explicit SharedMutex(LockRank rank) noexcept : rank_(rank) {}
 
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
   void lock() LSCATTER_ACQUIRE() {
-    lock_order::check_acquire(this, name_, /*blocking=*/true);
+    lock_order::check_acquire(this, rank_);
     m_.lock();
-    lock_order::acquired(this, name_, /*shared=*/false);
-  }
-
-  bool try_lock() LSCATTER_TRY_ACQUIRE(true) {
-    lock_order::check_acquire(this, name_, /*blocking=*/false);
-    const bool ok = m_.try_lock();
-    if (ok) lock_order::acquired(this, name_, /*shared=*/false);
-    return ok;
+    lock_order::acquired(this, rank_);
   }
 
   void unlock() LSCATTER_RELEASE() {
@@ -412,16 +272,9 @@ class LSCATTER_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void lock_shared() LSCATTER_ACQUIRE_SHARED() {
-    lock_order::check_acquire(this, name_, /*blocking=*/true);
+    lock_order::check_acquire(this, rank_);
     m_.lock_shared();
-    lock_order::acquired(this, name_, /*shared=*/true);
-  }
-
-  bool try_lock_shared() LSCATTER_TRY_ACQUIRE_SHARED(true) {
-    lock_order::check_acquire(this, name_, /*blocking=*/false);
-    const bool ok = m_.try_lock_shared();
-    if (ok) lock_order::acquired(this, name_, /*shared=*/true);
-    return ok;
+    lock_order::acquired(this, rank_);
   }
 
   void unlock_shared() LSCATTER_RELEASE_SHARED() {
@@ -429,11 +282,9 @@ class LSCATTER_CAPABILITY("shared_mutex") SharedMutex {
     m_.unlock_shared();
   }
 
-  const char* name() const { return name_; }
-
  private:
   std::shared_mutex m_;
-  const char* name_ = nullptr;
+  const LockRank rank_;
 };
 
 /// Drop-in for std::lock_guard<std::mutex>: exclusive for the scope.
@@ -518,8 +369,8 @@ class LSCATTER_SCOPED_CAPABILITY UniqueLock {
 
 /// Condition variable paired with lscatter::Mutex/UniqueLock. Built on
 /// condition_variable_any so the wait path re-enters the wrapper's
-/// lock()/unlock() — the lock-order validator's held stack stays exact
-/// across waits. Express wait predicates as named functions annotated
+/// lock()/unlock() — the held-lock stack stays exact across waits.
+/// Express wait predicates as named functions annotated
 /// LSCATTER_REQUIRES(mutex) and loop at the call site:
 ///
 ///   while (!slot_ready(state)) state.result_ready.wait(lock);

@@ -92,9 +92,10 @@ class Family {
   /// Cell for `label_value`, creating (and registering) it on first
   /// use. Past the cardinality cap, returns the shared overflow cell
   /// and bumps `obs.labels.dropped` once per rejected value.
-  /// Lock rank: the family mutex is acquired BEFORE the registry mutex
-  /// (cell registration calls into Registry under our lock); nothing in
-  /// the registry ever calls back into a family, so the order is acyclic.
+  /// Lock rank: obs.family sits below obs.registry (LockRank in
+  /// core/thread_safety.hpp) because cell registration calls into
+  /// Registry under our lock; the registry never calls back into a
+  /// family.
   Metric& cell(std::string_view label_value) LSCATTER_EXCLUDES(mutex_) {
     lscatter::LockGuard lock(mutex_);
     const auto it = cells_.find(label_value);
@@ -163,7 +164,7 @@ class Family {
   std::string name_;
   std::string label_key_;
   std::size_t max_cells_;
-  mutable lscatter::Mutex mutex_{"obs.family"};
+  mutable lscatter::Mutex mutex_{LockRank::kObsFamily};
   std::unordered_map<std::string, Metric*, Hash, Eq> cells_
       LSCATTER_GUARDED_BY(mutex_);
   // Rejected values already counted in obs.labels.dropped.

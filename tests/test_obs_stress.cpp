@@ -164,8 +164,8 @@ TEST(ObsStress, ShardedCellsAreDistinctPerThread) {
 // which nests the registry mutex under the family mutex (the declared
 // family -> registry lock rank, DESIGN.md §13). Run under TSan in the
 // nightly deep-tsan lane (--gtest_filter='ObsStress.Sharded*'); in the
-// default build the lock-order validator checks the rank stays acyclic
-// on every nested acquisition.
+// default build the lock-rank check verifies the family -> registry
+// order on every nested acquisition.
 TEST(ObsStress, ShardedIncrementsRaceRegistryReadsAndFamilyCells) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kItersPerThread = 20000;

@@ -26,7 +26,7 @@
 //              core/thread_safety.hpp: every lock must go through the
 //              annotated lscatter:: wrappers so it participates in both
 //              the clang thread-safety analysis and the runtime
-//              lock-order validator (DESIGN.md §13).
+//              lock-rank check (DESIGN.md §13).
 //   guarded-mutex  a lscatter::Mutex / SharedMutex member or field needs
 //              at least one sibling LSCATTER_GUARDED_BY(<name>) in the
 //              same file — a mutex protecting nothing the analysis can
@@ -320,7 +320,7 @@ void check_obs_loop(const fs::path& file,
 // --- rule: raw-mutex -----------------------------------------------------
 // Every lock in src/ must be a core/thread_safety.hpp wrapper: raw std
 // primitives are invisible to both the clang -Wthread-safety lane and the
-// debug lock-order validator, so a deadlock they participate in is only
+// runtime lock-rank check, so a deadlock they participate in is only
 // found the hard way. thread_safety.hpp itself is the one legitimate home
 // of the raw types (it wraps them).
 const std::regex kRawSyncPrimitive(
@@ -338,7 +338,7 @@ void check_raw_mutex(const fs::path& file,
              "raw std::" + m[1].str() +
                  "; use the annotated wrapper from core/thread_safety.hpp "
                  "(lscatter::Mutex / LockGuard / CondVar ...) so the "
-                 "thread-safety analysis and the lock-order validator see "
+                 "thread-safety analysis and the lock-rank check see "
                  "it, or waive with // lint-ok: raw-mutex");
     }
   }
